@@ -28,8 +28,10 @@ type bitSpan struct{ lo, hi int64 }
 // the collective's closing node barrier (allgatherSummary rebuilds
 // those gaps). The hidden/exposed split lands in the Overlap phase and
 // the rank's observability counters.
-func (rs *rankState) overlapAllgatherInQueue(p *mpi.Proc, ownOut []uint64) {
+func (rs *rankState) overlapAllgatherInQueue(p *mpi.Proc) {
 	r := rs.r
+	wlo := r.wordLayout.Displs[rs.pos]
+	ownOut := rs.outQ.Words()[wlo : wlo+r.wordLayout.Counts[rs.pos]]
 	segs := r.Opts.OverlapSegments
 	if segs == 0 {
 		segs = defaultOverlapSegments

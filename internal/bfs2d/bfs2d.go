@@ -192,14 +192,14 @@ type rankState struct {
 	levels     int
 	levelStats []trace.LevelStat
 
-	// codec and lists are the compressed-expand machinery (nil/empty
-	// when Compress is off): the codec encodes the rank's frontier list
-	// once per level, lists is the reused per-column receive scratch.
-	// foldCodec serves the fold alltoallv (one codec per collective
-	// purpose — fold payloads alias its slot scratch while expand
-	// payloads alias codec's), and foldOutRow/foldOutCol are the reused
-	// decode scratch for the row (top-down) and column (bottom-up)
-	// folds.
+	// codec encodes the rank's frontier list once per level for the
+	// expand allgatherv, and foldCodec serves the fold alltoallv (one
+	// codec per collective purpose — fold payloads alias its slot
+	// scratch while expand payloads alias codec's); both are nil when
+	// Compress is off, which runs those collectives on the raw wire.
+	// lists, foldOutRow and foldOutCol are the reused receive scratch of
+	// the expand and of the row (top-down) and column (bottom-up) folds,
+	// allocated by their first collective.
 	codec      *wire.Codec
 	lists      [][]int64
 	foldCodec  *wire.Codec

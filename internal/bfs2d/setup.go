@@ -117,9 +117,7 @@ func (r *Runner) Setup() {
 		rs.parent = make([]int64, r.blockSize)
 		if r.Compress {
 			rs.codec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
-			rs.lists = make([][]int64, r.Grid.R)
 			rs.foldCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
-			rs.foldOutRow = make([][]int64, r.Grid.C)
 		}
 		if r.Mode != ModeTopDown {
 			rs.colVisited = bitmap.New(width)
@@ -130,7 +128,6 @@ func (r *Runner) Setup() {
 			if r.Compress {
 				rs.colCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
 				rs.rowCodec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}
-				rs.foldOutCol = make([][]int64, r.Grid.R)
 			}
 		}
 		rs.sendRow = make([][]int64, r.Grid.C)

@@ -22,10 +22,7 @@ const (
 	tagBcast     = 0x4000
 	tagAlltoall  = 0x5000
 	tagAllreduce = 0x6000
-	tagRingC     = 0x9000
-	tagListC     = 0xA000
 	tagSeg       = 0xB000
-	tagAlltoallC = 0xC000
 )
 
 // Allgather performs an allgatherv over the group into buf: member i's
@@ -51,36 +48,7 @@ func (g *Group) Allgather(p *mpi.Proc, buf []uint64, l Layout) {
 // member i forwards the segment it received at step s-1 (starting with
 // its own) to its successor. Total traffic is m*(n-1) bytes — Eq. (1).
 func (g *Group) AllgatherRing(p *mpi.Proc, buf []uint64, l Layout) {
-	// The send topology is the same in every step: i -> i+1.
-	t0 := p.Clock()
-	g.allgatherRingStreams(p, buf, l, g.ringStreams()[g.Pos(p.Rank())])
-	p.Obs().Collective("allgather-ring", t0, p.Clock())
-}
-
-// allgatherRingStreams is AllgatherRing with an explicit stream count,
-// used by the parallelized allgather where several subgroups run
-// concurrently and each must account for the others' NIC streams.
-func (g *Group) allgatherRingStreams(p *mpi.Proc, buf []uint64, l Layout, streams int) {
-	n := g.Size()
-	if n == 1 {
-		return
-	}
-	me := g.Pos(p.Rank())
-	next := g.ranks[(me+1)%n]
-	prev := g.ranks[(me-1+n)%n]
-
-	for s := 0; s < n-1; s++ {
-		sendID := (me - s + n) % n
-		recvID := (me - s - 1 + n) % n
-		seg := l.seg(buf, sendID)
-		m := p.SendRecv(next, tagRing+s, int64(len(seg))*8, ringSeg{id: sendID, data: seg},
-			prev, tagRing+s, streams)
-		in := m.Payload.(ringSeg)
-		if in.id != recvID {
-			panic("collective: ring allgather received unexpected segment")
-		}
-		copy(l.seg(buf, in.id), in.data)
-	}
+	g.allgatherRing(p, buf, l, nil)
 }
 
 // AllgatherRingCompressed is AllgatherRing with each segment travelling
@@ -88,16 +56,25 @@ func (g *Group) allgatherRingStreams(p *mpi.Proc, buf []uint64, l Layout, stream
 // once, and receivers decode into place, then forward the still-encoded
 // payload. Wire bytes drive the modelled transfer cost while the
 // network's raw counters keep Eq. (1)'s logical volume visible, so one
-// run exposes the compression saving.
+// run exposes the compression saving. A nil codec is AllgatherRing.
 func (g *Group) AllgatherRingCompressed(p *mpi.Proc, buf []uint64, l Layout, c *wire.Codec) {
-	t0 := p.Clock()
-	g.allgatherRingStreamsC(p, buf, l, g.ringStreams()[g.Pos(p.Rank())], c)
-	p.Obs().Collective("allgather-ring-comp", t0, p.Clock())
+	g.allgatherRing(p, buf, l, c)
 }
 
-// allgatherRingStreamsC is the compressed ring with an explicit stream
-// count (the parallelized allgather's subgroups pass their own).
-func (g *Group) allgatherRingStreamsC(p *mpi.Proc, buf []uint64, l Layout, streams int, c *wire.Codec) {
+func (g *Group) allgatherRing(p *mpi.Proc, buf []uint64, l Layout, c *wire.Codec) {
+	// The send topology is the same in every step: i -> i+1.
+	t0 := p.Clock()
+	g.allgatherRingStreams(p, buf, l, g.ringStreams()[g.Pos(p.Rank())], c)
+	p.Obs().Collective(wireLabel(c, "allgather-ring", "allgather-ring-comp"), t0, p.Clock())
+}
+
+// allgatherRingStreams is the ring with an explicit stream count, used
+// by the parallelized allgather where several subgroups run
+// concurrently and each must account for the others' NIC streams. A nil
+// codec forwards raw segments straight out of buf; otherwise the
+// member's own segment is encoded once and every received payload is
+// decoded into place and forwarded still encoded.
+func (g *Group) allgatherRingStreams(p *mpi.Proc, buf []uint64, l Layout, streams int, c *wire.Codec) {
 	n := g.Size()
 	if n == 1 {
 		return
@@ -106,20 +83,45 @@ func (g *Group) allgatherRingStreamsC(p *mpi.Proc, buf []uint64, l Layout, strea
 	next := g.ranks[(me+1)%n]
 	prev := g.ranks[(me-1+n)%n]
 
-	pl, ns := c.Encode(l.seg(buf, me))
-	p.Compute(ns)
-	cur := encSeg{id: me, pl: pl}
+	var cur wire.Payload
+	if c != nil {
+		var ns float64
+		cur, ns = c.Encode(l.seg(buf, me))
+		p.Compute(ns)
+	}
 	for s := 0; s < n-1; s++ {
+		sendID := (me - s + n) % n
 		recvID := (me - s - 1 + n) % n
-		m := p.SendRecvWire(next, tagRingC+s, cur.pl.WireBytes, cur.pl.RawBytes, cur,
-			prev, tagRingC+s, streams)
+		if c == nil {
+			seg := l.seg(buf, sendID)
+			m := p.SendRecv(next, tagRing+s, int64(len(seg))*8, ringSeg{id: sendID, data: seg},
+				prev, tagRing+s, streams)
+			in := m.Payload.(ringSeg)
+			if in.id != recvID {
+				panic("collective: ring allgather received unexpected segment")
+			}
+			copy(l.seg(buf, in.id), in.data)
+			continue
+		}
+		m := p.SendRecvWire(next, tagRing+s, cur.WireBytes, cur.RawBytes, encSeg{id: sendID, pl: cur},
+			prev, tagRing+s, streams)
 		in := m.Payload.(encSeg)
 		if in.id != recvID {
 			panic("collective: compressed ring received unexpected segment")
 		}
 		p.Compute(c.Decode(l.seg(buf, in.id), in.pl))
-		cur = in
+		cur = in.pl
 	}
+}
+
+// wireLabel picks a collective's span label by wire: raw for a nil
+// codec, comp otherwise. Both are constants, so labelling never
+// allocates.
+func wireLabel(c *wire.Codec, raw, comp string) string {
+	if c == nil {
+		return raw
+	}
+	return comp
 }
 
 // AllgatherRecDouble is the recursive-doubling allgatherv for

@@ -12,43 +12,14 @@ const tagGatherList = 0x8000
 // only their owners know — the "expand" phase of the 2-D BFS gathers
 // frontier vertex lists along a processor column this way). The result
 // is indexed by group position; the caller's own slice is referenced,
-// not copied.
-func (g *Group) AllgathervInt64(p *mpi.Proc, mine []int64) [][]int64 {
-	n := g.Size()
-	me := g.Pos(p.Rank())
-	out := make([][]int64, n)
-	out[me] = mine
-	if n == 1 {
-		return out
-	}
-	next := g.ranks[(me+1)%n]
-	prev := g.ranks[(me-1+n)%n]
-	streams := g.ringStreams()[me]
-
-	t0 := p.Clock()
-	for s := 0; s < n-1; s++ {
-		sendID := (me - s + n) % n
-		recvID := (me - s - 1 + n) % n
-		payload := out[sendID]
-		m := p.SendRecv(next, tagGatherList+s, int64(len(payload))*8, payload,
-			prev, tagGatherList+s, streams)
-		if m.Payload == nil {
-			out[recvID] = nil
-			continue
-		}
-		out[recvID] = m.Payload.([]int64)
-	}
-	p.Obs().Collective("allgatherv-list", t0, p.Clock())
-	return out
-}
-
-// AllgathervInt64Compressed is AllgathervInt64 with every list
-// travelling in the codec's varint-delta format: each member encodes
-// its own list once, receivers decode and forward the still-encoded
-// payload. out, when non-nil, is reused (out[i] is overwritten via
-// out[i][:0]); pass nil on first use. The member's own list is
-// referenced, not copied, as in the uncompressed variant.
-func (g *Group) AllgathervInt64Compressed(p *mpi.Proc, mine []int64, out [][]int64, c *wire.Codec) [][]int64 {
+// not copied. out, when non-nil, is reused; pass nil on first use.
+//
+// A nil codec forwards the raw lists (received lists alias their
+// owners' slices). Otherwise every list travels in the codec's
+// varint-delta format: each member encodes its own list once, and
+// receivers decode into out[i][:0] and forward the still-encoded
+// payload.
+func (g *Group) AllgathervInt64(p *mpi.Proc, mine []int64, out [][]int64, c *wire.Codec) [][]int64 {
 	n := g.Size()
 	me := g.Pos(p.Rank())
 	if out == nil {
@@ -63,13 +34,24 @@ func (g *Group) AllgathervInt64Compressed(p *mpi.Proc, mine []int64, out [][]int
 	streams := g.ringStreams()[me]
 
 	t0 := p.Clock()
-	pl, ns := c.EncodeList(mine)
-	p.Compute(ns)
-	cur := encSeg{id: me, pl: pl}
+	var cur wire.Payload
+	if c != nil {
+		var ns float64
+		cur, ns = c.EncodeList(mine)
+		p.Compute(ns)
+	}
 	for s := 0; s < n-1; s++ {
+		sendID := (me - s + n) % n
 		recvID := (me - s - 1 + n) % n
-		m := p.SendRecvWire(next, tagListC+s, cur.pl.WireBytes, cur.pl.RawBytes, cur,
-			prev, tagListC+s, streams)
+		if c == nil {
+			payload := out[sendID]
+			m := p.SendRecv(next, tagGatherList+s, int64(len(payload))*8, payload,
+				prev, tagGatherList+s, streams)
+			out[recvID], _ = m.Payload.([]int64)
+			continue
+		}
+		m := p.SendRecvWire(next, tagGatherList+s, cur.WireBytes, cur.RawBytes, encSeg{id: sendID, pl: cur},
+			prev, tagGatherList+s, streams)
 		in := m.Payload.(encSeg)
 		if in.id != recvID {
 			panic("collective: compressed list ring received unexpected list")
@@ -77,8 +59,8 @@ func (g *Group) AllgathervInt64Compressed(p *mpi.Proc, mine []int64, out [][]int
 		var dns float64
 		out[recvID], dns = c.DecodeList(in.pl, out[recvID][:0])
 		p.Compute(dns)
-		cur = in
+		cur = in.pl
 	}
-	p.Obs().Collective("allgatherv-list-comp", t0, p.Clock())
+	p.Obs().Collective(wireLabel(c, "allgatherv-list", "allgatherv-list-comp"), t0, p.Clock())
 	return out
 }

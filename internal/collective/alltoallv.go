@@ -12,33 +12,11 @@ import (
 // pairs to their owners, exactly as the Graph500 mpi_simple code does.
 //
 // send[j] is the vector destined for group position j (send[me] is
-// delivered locally, without a message). The result is indexed by source
-// group position.
+// delivered locally, without a message). The result is a fresh slice
+// indexed by source group position; received vectors alias the
+// senders' send buffers.
 func (g *Group) AlltoallvInt64(p *mpi.Proc, send [][]int64) [][]int64 {
-	n := g.Size()
-	me := g.Pos(p.Rank())
-	recv := make([][]int64, n)
-	recv[me] = send[me]
-	if n == 1 {
-		return recv
-	}
-	t0 := p.Clock()
-	for s := 1; s < n; s++ {
-		dst := (me + s) % n
-		src := (me - s + n) % n
-		payload := send[dst]
-		// BFS top-down exchanges are sparse: in most steps only the few
-		// ranks owning frontier hubs carry data, so a rank's transfer
-		// contends with its own outbound and inbound streams (2), not
-		// with every co-located rank's empty synchronization message.
-		m := p.SendRecv(g.ranks[dst], tagAlltoall+s, int64(len(payload))*8, payload,
-			g.ranks[src], tagAlltoall+s, 2)
-		if m.Payload != nil {
-			recv[src] = m.Payload.([]int64)
-		}
-	}
-	p.Obs().Collective("alltoallv", t0, p.Clock())
-	return recv
+	return g.alltoallv(p, send, nil, nil)
 }
 
 // AlltoallvInt64Compressed is AlltoallvInt64 with every vector
@@ -46,10 +24,14 @@ func (g *Group) AlltoallvInt64(p *mpi.Proc, send [][]int64) [][]int64 {
 // exchange, but each step encodes the outgoing vector into a per-step
 // scratch slot (EncodeListSlot — a payload in flight is never
 // overwritten by a later encode) and decodes the incoming payload on
-// arrival. out, when non-nil, is reused (out[i] is overwritten via
-// out[i][:0]); pass nil on first use. The member's own vector is
-// referenced, not copied, as in the uncompressed variant.
+// arrival. out, when non-nil, is reused; pass nil on first use. The
+// member's own vector is referenced, not copied. A nil codec runs the
+// raw exchange into the reused out.
 func (g *Group) AlltoallvInt64Compressed(p *mpi.Proc, send [][]int64, out [][]int64, c *wire.Codec) [][]int64 {
+	return g.alltoallv(p, send, out, c)
+}
+
+func (g *Group) alltoallv(p *mpi.Proc, send [][]int64, out [][]int64, c *wire.Codec) [][]int64 {
 	n := g.Size()
 	me := g.Pos(p.Rank())
 	if out == nil {
@@ -63,13 +45,21 @@ func (g *Group) AlltoallvInt64Compressed(p *mpi.Proc, send [][]int64, out [][]in
 	for s := 1; s < n; s++ {
 		dst := (me + s) % n
 		src := (me - s + n) % n
+		// BFS top-down exchanges are sparse: in most steps only the few
+		// ranks owning frontier hubs carry data, so a rank's transfer
+		// contends with its own outbound and inbound streams (2), not
+		// with every co-located rank's empty synchronization message.
+		if c == nil {
+			payload := send[dst]
+			m := p.SendRecv(g.ranks[dst], tagAlltoall+s, int64(len(payload))*8, payload,
+				g.ranks[src], tagAlltoall+s, 2)
+			out[src], _ = m.Payload.([]int64)
+			continue
+		}
 		pl, ens := c.EncodeListSlot(send[dst], s)
 		p.Compute(ens)
-		// Same stream count as the raw pairwise exchange: sparse BFS fold
-		// steps contend with the rank's own two streams, not with every
-		// co-located rank.
-		m := p.SendRecvWire(g.ranks[dst], tagAlltoallC+s, pl.WireBytes, pl.RawBytes, encSeg{id: me, pl: pl},
-			g.ranks[src], tagAlltoallC+s, 2)
+		m := p.SendRecvWire(g.ranks[dst], tagAlltoall+s, pl.WireBytes, pl.RawBytes, encSeg{id: me, pl: pl},
+			g.ranks[src], tagAlltoall+s, 2)
 		in := m.Payload.(encSeg)
 		if in.id != src {
 			panic("collective: compressed alltoallv received unexpected vector")
@@ -78,6 +68,6 @@ func (g *Group) AlltoallvInt64Compressed(p *mpi.Proc, send [][]int64, out [][]in
 		out[src], dns = c.DecodeList(in.pl, out[src][:0])
 		p.Compute(dns)
 	}
-	p.Obs().Collective("alltoallv-comp", t0, p.Clock())
+	p.Obs().Collective(wireLabel(c, "alltoallv", "alltoallv-comp"), t0, p.Clock())
 	return out
 }

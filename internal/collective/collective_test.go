@@ -6,6 +6,7 @@ import (
 
 	"numabfs/internal/machine"
 	"numabfs/internal/mpi"
+	"numabfs/internal/wire"
 )
 
 func testWorld(t testing.TB, nodes, ppn int) *mpi.World {
@@ -55,7 +56,43 @@ func runAllgather(t *testing.T, nodes, ppn int, words int64,
 }
 
 func TestAllgatherRing(t *testing.T) {
-	runAllgather(t, 2, 4, 257, (*Group).AllgatherRing)
+	forEachWire(t, func(t *testing.T, newCodec func() *wire.Codec) {
+		for _, geo := range []struct{ nodes, ppn int }{{2, 4}, {1, 1}, {3, 2}} {
+			w := testWorld(t, geo.nodes, geo.ppn)
+			g := WorldGroup(w)
+			l := EvenLayout(257, g.Size())
+			codecs := make([]*wire.Codec, g.Size())
+			w.Run(func(p *mpi.Proc) {
+				buf := make([]uint64, 257)
+				for i := range buf {
+					buf[i] = 0xdead // every received segment must overwrite this
+				}
+				fillVaried(buf, l, g.Pos(p.Rank()))
+				c := newCodec()
+				codecs[g.Pos(p.Rank())] = c
+				g.AllgatherRingCompressed(p, buf, l, c)
+				checkVaried(t, "ring", p.Rank(), buf, l)
+			})
+			if codecs[0] == nil || g.Size() == 1 {
+				continue
+			}
+			st := wireStats(codecs)
+			var formats int
+			for _, n := range st.Segments {
+				if n > 0 {
+					formats++
+				}
+			}
+			if formats < 2 {
+				t.Errorf("%d ranks: varied densities used only %d wire format(s): %v",
+					g.Size(), formats, st.Segments)
+			}
+			if st.WireBytes >= st.RawBytes {
+				t.Errorf("%d ranks: wire %d >= raw %d on compressible data",
+					g.Size(), st.WireBytes, st.RawBytes)
+			}
+		}
+	})
 }
 
 func TestAllgatherRingSingleRank(t *testing.T) {
@@ -182,33 +219,42 @@ func TestAllreduceSumInt64(t *testing.T) {
 }
 
 func TestAlltoallvInt64(t *testing.T) {
-	w := testWorld(t, 2, 3)
-	g := WorldGroup(w)
-	n := g.Size()
-	w.Run(func(p *mpi.Proc) {
-		me := g.Pos(p.Rank())
-		send := make([][]int64, n)
-		for j := 0; j < n; j++ {
-			// me sends j a vector of length (me+1) holding me*100+j.
-			v := make([]int64, me+1)
-			for k := range v {
-				v[k] = int64(me*100 + j)
+	forEachWire(t, func(t *testing.T, newCodec func() *wire.Codec) {
+		w := testWorld(t, 2, 3)
+		g := WorldGroup(w)
+		n := g.Size()
+		w.Run(func(p *mpi.Proc) {
+			me := g.Pos(p.Rank())
+			send := make([][]int64, n)
+			for j := 0; j < n; j++ {
+				// me sends j a vector of length (me+1) holding me*100+j.
+				v := make([]int64, me+1)
+				for k := range v {
+					v[k] = int64(me*100 + j)
+				}
+				send[j] = v
 			}
-			send[j] = v
-		}
-		recv := g.AlltoallvInt64(p, send)
-		for src := 0; src < n; src++ {
-			if len(recv[src]) != src+1 {
-				t.Errorf("rank %d: len(recv[%d]) = %d, want %d", me, src, len(recv[src]), src+1)
-				continue
-			}
-			for _, v := range recv[src] {
-				if v != int64(src*100+me) {
-					t.Errorf("rank %d: recv[%d] holds %d, want %d", me, src, v, src*100+me)
-					break
+			var recv [][]int64
+			// Two rounds: the second reuses recv, the engines' steady state
+			// (with a fresh codec, as in TestAllgathervInt64).
+			for round := 0; round < 2; round++ {
+				recv = g.AlltoallvInt64Compressed(p, send, recv, newCodec())
+				for src := 0; src < n; src++ {
+					if len(recv[src]) != src+1 {
+						t.Errorf("round %d rank %d: len(recv[%d]) = %d, want %d",
+							round, me, src, len(recv[src]), src+1)
+						continue
+					}
+					for _, v := range recv[src] {
+						if v != int64(src*100+me) {
+							t.Errorf("round %d rank %d: recv[%d] holds %d, want %d",
+								round, me, src, v, src*100+me)
+							break
+						}
+					}
 				}
 			}
-		}
+		})
 	})
 }
 
@@ -249,7 +295,7 @@ func TestSharedInQueueAllgather(t *testing.T) {
 	})
 }
 
-func TestSharedAllAgather(t *testing.T) {
+func TestSharedAllAllgather(t *testing.T) {
 	w := testWorld(t, 4, 4)
 	nc := NewNodeComm(w)
 	const words = 640
@@ -260,24 +306,26 @@ func TestSharedAllAgather(t *testing.T) {
 		// Each rank stages its own segment in the node-shared out region.
 		fillOwn(sharedOut, l, p.Rank())
 		p.NodeBarrier()
-		nc.SharedAllAgather(p, sharedIn, sharedOut, l)
+		nc.SharedAllAllgather(p, sharedIn, sharedOut, l)
 		checkFull(t, "shared-all", p.Rank(), sharedIn, l)
 	})
 }
 
 func TestParallelAllgather(t *testing.T) {
-	w := testWorld(t, 4, 4)
-	nc := NewNodeComm(w)
-	const words = 640
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		for i := range seg {
-			seg[i] = uint64(p.Rank())<<32 | uint64(i)
-		}
-		nc.ParallelAllgather(p, shared, seg, l)
-		checkFull(t, "parallel", p.Rank(), shared, l)
+	forEachWire(t, func(t *testing.T, newCodec func() *wire.Codec) {
+		w := testWorld(t, 4, 4)
+		nc := NewNodeComm(w)
+		const words = 640
+		l := EvenLayout(words, w.NumProcs())
+		w.Run(func(p *mpi.Proc) {
+			shared := p.SharedWords("inq", words)
+			seg := make([]uint64, l.Counts[p.Rank()])
+			for i := range seg {
+				seg[i] = variedWord(p.Rank(), i)
+			}
+			nc.ParallelAllgatherCompressed(p, shared, seg, l, newCodec())
+			checkVaried(t, "parallel", p.Rank(), shared, l)
+		})
 	})
 }
 
@@ -325,7 +373,7 @@ func TestPipelinedOverlapHelpsButSharingWins(t *testing.T) {
 			sharedIn := p.SharedWords("inq", words)
 			sharedOut := p.SharedWords("outq", words)
 			p.NodeBarrier()
-			nc.SharedAllAgather(p, sharedIn, sharedOut, l)
+			nc.SharedAllAllgather(p, sharedIn, sharedOut, l)
 		})
 	})
 	if !(pipelined < leader) {
@@ -337,45 +385,78 @@ func TestPipelinedOverlapHelpsButSharingWins(t *testing.T) {
 }
 
 func TestEq1RingVolume(t *testing.T) {
-	// Eq. (1): total allgather traffic is m*(np-1) bytes.
-	w := testWorld(t, 2, 4)
-	g := WorldGroup(w)
-	const words = 800
-	l := EvenLayout(words, g.Size())
-	w.Run(func(p *mpi.Proc) {
-		buf := make([]uint64, words)
-		fillOwn(buf, l, g.Pos(p.Rank()))
-		g.AllgatherRing(p, buf, l)
+	// Eq. (1): total allgather traffic is m*(np-1) bytes. Under
+	// compression the wire bytes shrink to the codec's encoded sizes,
+	// but the raw (logical) volume still satisfies Eq. (1).
+	forEachWire(t, func(t *testing.T, newCodec func() *wire.Codec) {
+		w := testWorld(t, 2, 4)
+		g := WorldGroup(w)
+		const words = 800
+		l := EvenLayout(words, g.Size())
+		w.Run(func(p *mpi.Proc) {
+			buf := make([]uint64, words)
+			fillVaried(buf, l, g.Pos(p.Rank()))
+			g.AllgatherRingCompressed(p, buf, l, newCodec())
+		})
+		vol := w.Net().Volume()
+		m := int64(words * 8)
+		wantRaw := m * int64(g.Size()-1)
+		if got := vol.RawIntraBytes + vol.RawInterBytes; got != wantRaw {
+			t.Fatalf("ring raw volume = %d, want m*(np-1) = %d", got, wantRaw)
+		}
+		wantWire := wantRaw
+		if newCodec() != nil {
+			wantWire = expectedWire(l, allPositions(g.Size()), g.Size()-1)
+			if wantWire >= wantRaw {
+				t.Fatalf("wire %d did not shrink below raw %d on varied-density data", wantWire, wantRaw)
+			}
+		}
+		if got := vol.IntraBytes + vol.InterBytes; got != wantWire {
+			t.Fatalf("ring wire volume = %d, want %d", got, wantWire)
+		}
 	})
-	vol := w.Net().Volume()
-	m := int64(words * 8)
-	want := m * int64(g.Size()-1)
-	if got := vol.IntraBytes + vol.InterBytes; got != want {
-		t.Fatalf("ring volume = %d, want m*(np-1) = %d", got, want)
-	}
 }
 
 func TestEq2ParallelVolume(t *testing.T) {
 	// Eq. (2): parallelized allgather moves m*(np/ppn - 1) bytes over the
-	// network — the same as one leader per node moving everything.
-	const nodes, ppn, words = 4, 4, 960
-	w := testWorld(t, nodes, ppn)
-	nc := NewNodeComm(w)
-	l := EvenLayout(words, w.NumProcs())
-	w.Run(func(p *mpi.Proc) {
-		shared := p.SharedWords("inq", words)
-		seg := make([]uint64, l.Counts[p.Rank()])
-		nc.ParallelAllgather(p, shared, seg, l)
+	// network — the same as one leader per node moving everything — and
+	// nothing intra-node. Under compression that holds on the raw
+	// ledger; the wire ledger carries the codec's encoded sizes.
+	forEachWire(t, func(t *testing.T, newCodec func() *wire.Codec) {
+		const nodes, ppn, words = 4, 4, 960
+		w := testWorld(t, nodes, ppn)
+		nc := NewNodeComm(w)
+		l := EvenLayout(words, w.NumProcs())
+		w.Run(func(p *mpi.Proc) {
+			shared := p.SharedWords("inq", words)
+			seg := make([]uint64, l.Counts[p.Rank()])
+			for i := range seg {
+				seg[i] = variedWord(p.Rank(), i)
+			}
+			nc.ParallelAllgatherCompressed(p, shared, seg, l, newCodec())
+		})
+		vol := w.Net().Volume()
+		m := int64(words * 8)
+		wantRaw := m * int64(nodes-1)
+		if vol.RawInterBytes != wantRaw {
+			t.Fatalf("parallel allgather raw inter-node volume = %d, want m*(np/ppn-1) = %d",
+				vol.RawInterBytes, wantRaw)
+		}
+		if vol.RawIntraBytes != 0 || vol.IntraBytes != 0 {
+			t.Fatalf("parallel allgather moved intra-node MPI bytes (raw %d, wire %d), want 0",
+				vol.RawIntraBytes, vol.IntraBytes)
+		}
+		wantWire := wantRaw
+		if newCodec() != nil {
+			wantWire = expectedWire(l, allPositions(w.NumProcs()), nodes-1)
+			if wantWire >= wantRaw {
+				t.Fatalf("wire %d did not shrink below raw %d", wantWire, wantRaw)
+			}
+		}
+		if vol.InterBytes != wantWire {
+			t.Fatalf("parallel allgather wire volume = %d, want %d", vol.InterBytes, wantWire)
+		}
 	})
-	vol := w.Net().Volume()
-	m := int64(words * 8)
-	want := m * int64(nodes-1)
-	if vol.InterBytes != want {
-		t.Fatalf("parallel allgather inter-node volume = %d, want m*(np/ppn-1) = %d", vol.InterBytes, want)
-	}
-	if vol.IntraBytes != 0 {
-		t.Fatalf("parallel allgather moved %d intra-node MPI bytes, want 0", vol.IntraBytes)
-	}
 }
 
 func TestLeaderAllgatherCheaperWhenShared(t *testing.T) {
@@ -407,7 +488,7 @@ func TestLeaderAllgatherCheaperWhenShared(t *testing.T) {
 			sharedIn := p.SharedWords("inq", words)
 			sharedOut := p.SharedWords("outq", words)
 			p.NodeBarrier()
-			nc.SharedAllAgather(p, sharedIn, sharedOut, l)
+			nc.SharedAllAllgather(p, sharedIn, sharedOut, l)
 		})
 	})
 	par := timeOf(func(w *mpi.World, nc *NodeComm, l Layout) {

@@ -248,12 +248,12 @@ func (nc *NodeComm) SharedInQueueAllgather(p *mpi.Proc, shared []uint64, seg []u
 	return st
 }
 
-// SharedAllAgather is the paper's "Share all" variant (Fig. 5b): both
+// SharedAllAllgather is the paper's "Share all" variant (Fig. 5b): both
 // out_queue and in_queue are node-shared, so the leader reads children's
 // segments directly from the shared out region — no gather, no broadcast.
 // sharedOut holds the node's contribution at the node's displacement;
 // sharedIn receives the full result.
-func (nc *NodeComm) SharedAllAgather(p *mpi.Proc, sharedIn, sharedOut []uint64, l Layout) StepTimes {
+func (nc *NodeComm) SharedAllAllgather(p *mpi.Proc, sharedIn, sharedOut []uint64, l Layout) StepTimes {
 	var st StepTimes
 	node := nc.Nodes[p.Node()]
 	nl := nc.nodeLayout(l)
@@ -290,25 +290,56 @@ func (nc *NodeComm) SharedAllAgather(p *mpi.Proc, sharedIn, sharedOut []uint64, 
 // is m*(np/ppn - 1) — Eq. (2). seg is the rank's own segment (copied into
 // the shared buffer first).
 func (nc *NodeComm) ParallelAllgather(p *mpi.Proc, shared []uint64, seg []uint64, l Layout) StepTimes {
+	return nc.parallelAllgather(p, shared, seg, l, false, nil)
+}
+
+// ParallelAllgatherCompressed is ParallelAllgather with every subgroup
+// segment travelling in the codec's adaptive wire formats — the fifth
+// optimization level (OptCompressedAllgather), stacking Romera-style
+// frontier compression on the paper's parallelized allgather. The
+// staging copy and the node barrier are unchanged; only the inter-node
+// rings carry encoded payloads. A nil codec is ParallelAllgather, so
+// the engines reach both levels through this one call.
+func (nc *NodeComm) ParallelAllgatherCompressed(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, c *wire.Codec) StepTimes {
+	return nc.parallelAllgather(p, shared, seg, l, false, c)
+}
+
+// ParallelAllgatherInPlace is ParallelAllgather for contributions already
+// staged in the shared buffer (no copy step), with the subgroup rings
+// on the codec's wire formats, or raw for a nil codec.
+func (nc *NodeComm) ParallelAllgatherInPlace(p *mpi.Proc, shared []uint64, l Layout, c *wire.Codec) StepTimes {
+	return nc.parallelAllgather(p, shared, nil, l, true, c)
+}
+
+// parallelAllgather is the one body of the parallelized allgather:
+// stage seg into the shared buffer unless inPlace, run the subgroup
+// rings this rank drives, then the node barrier that publishes the
+// result.
+func (nc *NodeComm) parallelAllgather(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, inPlace bool, c *wire.Codec) StepTimes {
 	var st StepTimes
-	me := nc.World.Pos(p.Rank())
 	node := nc.Nodes[p.Node()]
 	tc := p.Clock()
 
 	t0 := p.Clock()
-	copy(l.seg(shared, me), seg)
-	p.Compute(float64(l.Counts[me]*8) / p.World().Config().ShmCopyBW)
-
+	if !inPlace {
+		me := nc.World.Pos(p.Rank())
+		copy(l.seg(shared, me), seg)
+		p.Compute(float64(l.Counts[me]*8) / p.World().Config().ShmCopyBW)
+	}
 	lo, hi := nc.subRange(p)
 	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreams(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p))
+		nc.Subs[j].allgatherRingStreams(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p), c)
 	}
 	st.InterNs = p.Clock() - t0
 
 	t0 = p.Clock()
 	node.barrierVia(p)
 	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather", tc, p.Clock())
+	label := wireLabel(c, "par-allgather", "par-allgather-comp")
+	if inPlace {
+		label = wireLabel(c, "par-allgather-inplace", "par-allgather-inplace-comp")
+	}
+	p.Obs().Collective(label, tc, p.Clock())
 	return st
 }
 
@@ -332,27 +363,6 @@ func (nc *NodeComm) SharedInPlaceAllgather(p *mpi.Proc, shared []uint64, l Layou
 	return st
 }
 
-// ParallelAllgatherInPlace is ParallelAllgather for contributions already
-// staged in the shared buffer (no copy step).
-func (nc *NodeComm) ParallelAllgatherInPlace(p *mpi.Proc, shared []uint64, l Layout) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreams(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p))
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather-inplace", tc, p.Clock())
-	return st
-}
-
 // subLayout returns the layout of subgroup j's members' segments within
 // the full buffer. A stand-in member (a short node's last member covering
 // a leftover sub, idxOnNode != j) contributes zero words: its real
@@ -369,83 +379,6 @@ func (nc *NodeComm) subLayout(sub *Group, l Layout, j int) Layout {
 		}
 	}
 	return Layout{Counts: counts, Displs: displs}
-}
-
-// ParallelAllgatherCompressed is ParallelAllgather with every subgroup
-// segment travelling in the codec's adaptive wire formats — the fifth
-// optimization level (OptCompressedAllgather), stacking Romera-style
-// frontier compression on the paper's parallelized allgather. The
-// staging copy and the node barrier are unchanged; only the inter-node
-// rings carry encoded payloads.
-func (nc *NodeComm) ParallelAllgatherCompressed(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, c *wire.Codec) StepTimes {
-	var st StepTimes
-	me := nc.World.Pos(p.Rank())
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	copy(l.seg(shared, me), seg)
-	p.Compute(float64(l.Counts[me]*8) / p.World().Config().ShmCopyBW)
-
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreamsC(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p), c)
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather-comp", tc, p.Clock())
-	return st
-}
-
-// ParallelAllgatherInPlaceCompressed is ParallelAllgatherInPlace with
-// compressed subgroup rings (contributions already staged in the
-// shared buffer).
-func (nc *NodeComm) ParallelAllgatherInPlaceCompressed(p *mpi.Proc, shared []uint64, l Layout, c *wire.Codec) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	lo, hi := nc.subRange(p)
-	for j := lo; j <= hi; j++ {
-		nc.Subs[j].allgatherRingStreamsC(p, shared, nc.subLayout(nc.Subs[j], l, j), nc.nodeStreams(p), c)
-	}
-	st.InterNs = p.Clock() - t0
-
-	t0 = p.Clock()
-	node.barrierVia(p)
-	st.InterNs += p.Clock() - t0
-	p.Obs().Collective("par-allgather-inplace-comp", tc, p.Clock())
-	return st
-}
-
-// LeaderAllgatherCompressed is LeaderAllgather with the inter-node
-// leader ring carrying encoded payloads. The intra-node gather and
-// broadcast stay raw: they move through shared memory, where the
-// bandwidth gap compression exploits does not exist.
-func (nc *NodeComm) LeaderAllgatherCompressed(p *mpi.Proc, buf []uint64, l Layout, c *wire.Codec) StepTimes {
-	var st StepTimes
-	node := nc.Nodes[p.Node()]
-	tc := p.Clock()
-
-	t0 := p.Clock()
-	node.GatherBinomial(p, buf, nc.localView(l, p.Node()), 0)
-	st.GatherNs = p.Clock() - t0
-
-	if nc.IsLeader(p) {
-		t0 = p.Clock()
-		nc.Leaders.AllgatherRingCompressed(p, buf, nc.nodeLayout(l), c)
-		st.InterNs = p.Clock() - t0
-	}
-
-	t0 = p.Clock()
-	node.BcastBinomial(p, buf, l.TotalWords(), 0)
-	st.BcastNs = p.Clock() - t0
-	p.Obs().Collective("leader-allgather-comp", tc, p.Clock())
-	return st
 }
 
 // barrierVia runs a node barrier through the proc (helper so group code

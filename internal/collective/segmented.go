@@ -8,15 +8,15 @@ import (
 	"numabfs/internal/wire"
 )
 
-// This file implements the segmented, pipelined variants of the
-// parallelized allgather (Fig. 7) that the engine's sixth optimization
-// level (OptOverlapAllgather) is built on: each member's segment is
-// split into Q uniform chunks, the subgroup ring is driven through
-// Isend/Irecv so exactly one chunk transfer per neighbor is in flight
-// while the rank decodes and scans the chunk that just landed, and the
-// caller's onChunk hook runs the moment a chunk's words are final —
-// Buluç & Madduri's communication/computation overlap, expressed on the
-// paper's NUMA-aware collective.
+// This file implements the segmented, pipelined, compressed variant of
+// the parallelized allgather (Fig. 7) that the engine's sixth
+// optimization level (OptOverlapAllgather) is built on: each member's
+// segment is split into Q uniform chunks, the subgroup ring is driven
+// through Isend/Irecv so exactly one chunk transfer per neighbor is in
+// flight while the rank decodes and scans the chunk that just landed,
+// and the caller's onChunk hook runs the moment a chunk's words are
+// final — Buluç & Madduri's communication/computation overlap,
+// expressed on the paper's NUMA-aware collective.
 
 // Overlap is the caller-owned ledger a segmented allgather fills in: how
 // much of the transfer time ran under the rank's own computation
@@ -39,14 +39,13 @@ type Overlap struct {
 	// every received chunk transfer.
 	SegEndNs []float64
 
-	// holdRaw/holdEnc are the ring pipeline's forwarding slots (chunk
-	// received at flattened index k waits here until send k+Q). They
-	// live on the caller-owned ledger so steady-state collectives — one
-	// per bottom-up level of every root — reuse them instead of
-	// allocating per call. Stale entries are never read: slot q is
-	// always rewritten (step 0's receive) before its first forward.
-	holdRaw [][]uint64
-	holdEnc []wire.Payload
+	// hold is the ring pipeline's forwarding slots (the chunk received
+	// at flattened index k waits here until send k+Q). It lives on the
+	// caller-owned ledger so steady-state collectives — one per
+	// bottom-up level of every root — reuse it instead of allocating per
+	// call. Stale entries are never read: slot q is always rewritten
+	// (step 0's receive) before its first forward.
+	hold []wire.Payload
 }
 
 func (o *Overlap) reset() {
@@ -64,27 +63,20 @@ func (o *Overlap) Efficiency() float64 {
 	return o.HiddenNs / t
 }
 
-// segChunk is one pipelined ring message: chunk q of origin segment id,
-// travelling raw. Forwarded chunks alias the origin's buffer, which is
-// stable for the whole collective.
-type segChunk struct {
-	id, q int
-	data  []uint64
-}
-
-// encChunk is segChunk's compressed counterpart. The payload bytes live
-// in the origin's per-slot codec scratch (wire.EncodeSlot), stable until
-// the origin's next collective — forwarding never re-encodes.
+// encChunk is one pipelined ring message: chunk q of origin segment
+// id, wire-encoded. The payload bytes live in the origin's per-slot
+// codec scratch (wire.EncodeSlot), stable until the origin's next
+// collective — forwarding never re-encodes.
 type encChunk struct {
 	id, q int
 	pl    wire.Payload
 }
 
-// segChunkCount clamps the requested chunk count to what the layout and
+// chunkCount clamps the requested chunk count to what the layout and
 // the tag space support: at least 1, at most the smallest non-empty
 // segment (so no chunk is empty), at most 256 (the flattened step×chunk
 // tags of a 16-node subgroup then stay inside the 0xB000 block).
-func segChunkCount(l Layout, want int) int {
+func chunkCount(l Layout, want int) int {
 	q := int64(want)
 	if q < 1 {
 		q = 1
@@ -108,21 +100,20 @@ func chunkSpan(l Layout, id, q, Q int) (int64, int64) {
 	return d + c*int64(q)/int64(Q), d + c*int64(q+1)/int64(Q)
 }
 
-// allgatherRingSegmented is the pipelined ring allgather underneath the
-// segmented parallel variants. The (n-1) ring steps × Q chunks flatten
+// allgatherRingSegmented is the pipelined ring allgather underneath
+// ParallelAllgatherSegmentedC. The (n-1) ring steps × Q chunks flatten
 // to K exchanges; the loop keeps exactly one send and one receive in
 // flight: wait on pair k, post pair k+1, then decode and scan chunk k
 // while pair k+1's transfer runs. Send k+1 always forwards data whose
 // receive completed at k+1-Q ≤ k, so the pipeline can never deadlock on
 // the capacity-1 mailboxes, and the per-chunk Wait bracketing splits
 // every transfer into hidden and exposed time via Request.BeginNs/EndNs.
-// A nil codec runs the raw path (forwarding received aliases, like the
-// blocking ring); onChunk, when non-nil, is called with every finalized
-// word range — own chunks first, right after the pipeline starts, so
-// their scan overlaps the first transfer — and returns compute ns to
-// charge.
+// Chunks travel in the codec's wire formats; onChunk, when non-nil, is
+// called with every finalized word range — own chunks first, right
+// after the pipeline starts, so their scan overlaps the first transfer
+// — and returns compute ns to charge.
 func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, streams, chunks int, c *wire.Codec, onChunk func(w0, w1 int64) float64, ov *Overlap) {
-	Q := segChunkCount(l, chunks)
+	Q := chunkCount(l, chunks)
 	ov.Segments = Q
 	n := g.Size()
 	me := g.Pos(p.Rank())
@@ -140,47 +131,27 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 	K := (n - 1) * Q
 
 	// hold[q] carries the payload received at flattened index k (k%Q == q)
-	// until it is forwarded by send k+Q; the raw path holds []uint64
-	// aliases, the compressed path wire.Payloads. The slots are pooled
-	// on the ledger across collectives.
-	if cap(ov.holdRaw) < Q {
-		ov.holdRaw = make([][]uint64, Q)
+	// until it is forwarded by send k+Q. The slots are pooled on the
+	// ledger across collectives.
+	if cap(ov.hold) < Q {
+		ov.hold = make([]wire.Payload, Q)
 	}
-	if cap(ov.holdEnc) < Q {
-		ov.holdEnc = make([]wire.Payload, Q)
-	}
-	holdRaw := ov.holdRaw[:Q]
-	holdEnc := ov.holdEnc[:Q]
+	hold := ov.hold[:Q]
 	var msgs [2]mpi.Msg
 
 	postPair := func(k int) (*mpi.Request, *mpi.Request) {
 		s, q := k/Q, k%Q
 		sendID := (me - s + n) % n
 		tag := tagSeg + k
-		var sr *mpi.Request
-		if c != nil {
-			var pl wire.Payload
-			if s == 0 {
-				w0, w1 := chunkSpan(l, sendID, q, Q)
-				var ns float64
-				pl, ns = c.EncodeSlot(buf[w0:w1], q)
-				p.Compute(ns)
-			} else {
-				pl = holdEnc[q]
-			}
-			sr = p.IsendWire(next, tag, pl.WireBytes, pl.RawBytes,
-				encChunk{id: sendID, q: q, pl: pl}, streams)
-		} else {
-			var data []uint64
-			if s == 0 {
-				w0, w1 := chunkSpan(l, sendID, q, Q)
-				data = buf[w0:w1]
-			} else {
-				data = holdRaw[q]
-			}
-			sr = p.Isend(next, tag, int64(len(data))*8,
-				segChunk{id: sendID, q: q, data: data}, streams)
+		pl := hold[q]
+		if s == 0 {
+			w0, w1 := chunkSpan(l, sendID, q, Q)
+			var ns float64
+			pl, ns = c.EncodeSlot(buf[w0:w1], q)
+			p.Compute(ns)
 		}
+		sr := p.IsendWire(next, tag, pl.WireBytes, pl.RawBytes,
+			encChunk{id: sendID, q: q, pl: pl}, streams)
 		return sr, p.Irecv(prev, tag, &msgs[k%2])
 	}
 
@@ -215,21 +186,11 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 		// Extract and stash the payload before posting pair k+1 (its send
 		// may read hold slot q for a deeper forward in a later iteration;
 		// the in-flight message keeps its own copy of the value).
-		var id, cq int
-		var inRaw []uint64
-		var inEnc wire.Payload
-		if c != nil {
-			in := msgs[k%2].Payload.(encChunk)
-			id, cq, inEnc = in.id, in.q, in.pl
-			holdEnc[q] = inEnc
-		} else {
-			in := msgs[k%2].Payload.(segChunk)
-			id, cq, inRaw = in.id, in.q, in.data
-			holdRaw[q] = inRaw
-		}
-		if id != recvID || cq != q {
+		in := msgs[k%2].Payload.(encChunk)
+		hold[q] = in.pl
+		if in.id != recvID || in.q != q {
 			panic(fmt.Sprintf("collective: segmented ring expected chunk %d/%d, got %d/%d",
-				recvID, q, id, cq))
+				recvID, q, in.id, in.q))
 		}
 
 		if k+1 < K {
@@ -237,38 +198,23 @@ func (g *Group) allgatherRingSegmented(p *mpi.Proc, buf []uint64, l Layout, stre
 		}
 
 		// Chunk k is final: land it and scan it while pair k+1 flies.
-		w0, w1 := chunkSpan(l, id, cq, Q)
-		if c != nil {
-			p.Compute(c.Decode(buf[w0:w1], inEnc))
-		} else {
-			copy(buf[w0:w1], inRaw)
-		}
+		w0, w1 := chunkSpan(l, in.id, in.q, Q)
+		p.Compute(c.Decode(buf[w0:w1], in.pl))
 		if onChunk != nil {
 			p.Compute(onChunk(w0, w1))
 		}
 	}
 }
 
-// ParallelAllgatherSegmented is ParallelAllgather (Fig. 7) driven
-// through the nonblocking chunk pipeline: same staging copy, same
-// per-socket subgroup rings and node barrier, but each ring overlaps its
-// transfers with the caller's per-chunk scan and reports the hidden and
-// exposed time in ov.
-func (nc *NodeComm) ParallelAllgatherSegmented(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, chunks int, onChunk func(w0, w1 int64) float64, ov *Overlap) StepTimes {
-	return nc.parallelSegmented(p, shared, seg, l, chunks, nil, onChunk, ov, "par-allgather-seg")
-}
-
-// ParallelAllgatherSegmentedC is ParallelAllgatherCompressed driven
-// through the nonblocking chunk pipeline — the sixth optimization
-// level's in_queue exchange. Chunks travel in the codec's wire formats
-// (encoded once at the origin into per-chunk scratch slots, forwarded
-// still-encoded), and decode + onChunk of each landed chunk run under
-// the next chunk's transfer.
+// ParallelAllgatherSegmentedC is ParallelAllgatherCompressed (Fig. 7)
+// driven through the nonblocking chunk pipeline — the sixth
+// optimization level's in_queue exchange. Same staging copy, same
+// per-socket subgroup rings and node barrier, but chunks travel in the
+// codec's wire formats (encoded once at the origin into per-chunk
+// scratch slots, forwarded still-encoded), decode + onChunk of each
+// landed chunk run under the next chunk's transfer, and ov reports the
+// hidden and exposed time. c must be non-nil.
 func (nc *NodeComm) ParallelAllgatherSegmentedC(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, chunks int, c *wire.Codec, onChunk func(w0, w1 int64) float64, ov *Overlap) StepTimes {
-	return nc.parallelSegmented(p, shared, seg, l, chunks, c, onChunk, ov, "par-allgather-seg-comp")
-}
-
-func (nc *NodeComm) parallelSegmented(p *mpi.Proc, shared []uint64, seg []uint64, l Layout, chunks int, c *wire.Codec, onChunk func(w0, w1 int64) float64, ov *Overlap, label string) StepTimes {
 	var st StepTimes
 	me := nc.World.Pos(p.Rank())
 	node := nc.Nodes[p.Node()]
@@ -289,7 +235,7 @@ func (nc *NodeComm) parallelSegmented(p *mpi.Proc, shared []uint64, seg []uint64
 	t0 = p.Clock()
 	node.barrierVia(p)
 	st.InterNs += p.Clock() - t0
-	p.Obs().Collective(label, tc, p.Clock())
+	p.Obs().Collective("par-allgather-seg-comp", tc, p.Clock())
 	return st
 }
 

@@ -10,12 +10,12 @@ import (
 // delivery (Recv, SendRecv, Irecv.Wait — collectives are built on these,
 // so they inherit reliability for free). When the fault plan declares
 // lossy links (fault.Plan.Loss), inter-node messages travel as sequenced,
-// CRC-protected frames (wire.AppendFrame is the concrete codec) and the
-// receiver only acknowledges intact in-order data; dropped or corrupted
-// frames are retransmitted after a timeout with exponential backoff until
-// a retry budget is exhausted, which surfaces as a structured
-// *fault.Error (KindLinkLoss) through the same abort machinery as a rank
-// crash.
+// CRC-protected frames (modelled, never materialized:
+// wire.FrameHeaderBytes documents the layout) and the receiver only
+// acknowledges intact in-order data; dropped or corrupted frames are
+// retransmitted after a timeout with exponential backoff until a retry
+// budget is exhausted, which surfaces as a structured *fault.Error
+// (KindLinkLoss) through the same abort machinery as a rank crash.
 //
 // The protocol is charged analytically: instead of shuffling bytes per
 // attempt, the receiver — who under the simulator's rendezvous scheme
@@ -139,7 +139,7 @@ func (p *Proc) reliableDeliver(m message, begin float64, srcNode int) (recvEnd, 
 	}
 
 	// Reordering: the frame was overtaken by up to Window successors, so
-	// the resequencer (wire.Resequencer) holds it for the gap to close —
+	// the receiver's resequencer holds it for the gap to close —
 	// one inter-node alpha per overtaking frame slot.
 	var reorders int64
 	var hold float64

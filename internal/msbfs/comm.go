@@ -38,47 +38,11 @@ func (ls *laneState) publishFrontier(p *mpi.Proc, needPlane bool) {
 	ls.rec.PhaseSpan(trace.Stall, ls.levels, t0, t0+wait)
 	ls.rec.PhaseSpan(trace.BUComm, ls.levels, t0+wait, p.Clock())
 	t0, x0 := p.Clock(), p.XportNs()
-	ls.allgatherPlane(p)
+	ls.exchange().AllgatherFrontier(p, ls.inPlane.Words(), ls.outPlane.Words(), r.planeLayout, ls.pos, ls.planeCodec)
 	ls.allgatherSummary(p)
 	ls.chargeComm(p, trace.BUComm, t0, x0)
 	ls.rounds++
 	ls.bd.BUCommCount++
-}
-
-// allgatherPlane distributes the next frontier plane under the
-// configured optimization level — bfs.allgatherInQueue verbatim, with
-// lane-plane words in place of bitmap words (the plane layout follows
-// the vertex partition, so each variant applies unchanged).
-func (ls *laneState) allgatherPlane(p *mpi.Proc) {
-	r := ls.r
-	wlo := r.planeLayout.Displs[ls.pos]
-	wcnt := r.planeLayout.Counts[ls.pos]
-	ownOut := ls.outPlane.Words()[wlo : wlo+wcnt]
-
-	switch r.Opts.Opt {
-	case bfs.OptOriginal:
-		// Stage the owned segment into the private in-plane, then the
-		// MPI library's default allgather over all ranks.
-		copy(ls.inPlane.Words()[wlo:wlo+wcnt], ownOut)
-		p.Compute(ls.team.Parallel(machine.PhaseLoad{
-			SeqBytes: wcnt * 16, SeqLoc: r.pl.PrivateLoc,
-		}))
-		r.AllGroup.Allgather(p, ls.inPlane.Words(), r.planeLayout)
-
-	case bfs.OptShareInQueue:
-		r.NC.SharedInQueueAllgather(p, ls.inPlane.Words(), ownOut, r.planeLayout)
-
-	case bfs.OptShareAll:
-		r.NC.SharedAllAgather(p, ls.inPlane.Words(), ls.outPlane.Words(), r.planeLayout)
-
-	case bfs.OptParAllgather:
-		r.NC.ParallelAllgather(p, ls.inPlane.Words(), ownOut, r.planeLayout)
-
-	case bfs.OptCompressedAllgather:
-		// A plane segment is a bitmap of 64·n bits whose density is the
-		// mean lane density — the adaptive codec applies as-is.
-		r.NC.ParallelAllgatherCompressed(p, ls.inPlane.Words(), ownOut, r.planeLayout, ls.planeCodec)
-	}
 }
 
 // allgatherSummary rebuilds this rank's share of the lane summary from
@@ -93,18 +57,16 @@ func (ls *laneState) allgatherSummary(p *mpi.Proc) {
 		SeqBytes: (vHi-vLo)*8 + written*8,
 		SeqLoc:   r.inqLoc(),
 	}))
+	ls.exchange().AllgatherSummary(p, ls.inSum.Plane().Words(), r.sumLayout, ls.sumCodec)
+}
 
-	sumWords := ls.inSum.Plane().Words()
-	switch r.Opts.Opt {
-	case bfs.OptOriginal, bfs.OptShareInQueue:
-		r.AllGroup.Allgather(p, sumWords, r.sumLayout)
-	case bfs.OptShareAll:
-		r.NC.SharedInPlaceAllgather(p, sumWords, r.sumLayout)
-	case bfs.OptParAllgather:
-		r.NC.ParallelAllgatherInPlace(p, sumWords, r.sumLayout)
-	case bfs.OptCompressedAllgather:
-		r.NC.ParallelAllgatherInPlaceCompressed(p, sumWords, r.sumLayout, ls.sumCodec)
-	}
+// exchange returns the rank's view of the 1-D allgather ladder. A plane
+// segment is a bitmap of 64·n bits whose density is the mean lane
+// density, and the plane layout follows the vertex partition, so every
+// level applies to lane-plane words unchanged.
+func (ls *laneState) exchange() bfs.Exchange {
+	r := ls.r
+	return bfs.Exchange{Opt: r.Opts.Opt, All: r.AllGroup, NC: r.NC, Team: ls.team, StageLoc: r.pl.PrivateLoc}
 }
 
 // shareVerts returns the vertex range [vLo, vHi) of a rank's

@@ -1,137 +1,27 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
+// The reliable transport (internal/mpi, internal/fault.Loss) charges
+// its protocol analytically: header and ack bytes, retransmission
+// rounds and resequencing holds are added to the virtual clock and the
+// simnet ledgers without materializing a byte buffer per message (the
+// hot path must stay allocation-free). These constants are the frame
+// geometry those charges stand for.
 
-// This file implements the data-plane pieces of the reliable transport
-// (internal/mpi, internal/fault.Loss): the frame that carries one
-// point-to-point payload over a lossy link, and the receiver-side
-// resequencer that turns duplicated / out-of-order frame arrivals back
-// into the exactly-once, in-order message stream MPI semantics require.
+// FrameHeaderBytes is the modelled wire size of a reliable-transport
+// frame header: a sequence number (8 bytes), the payload length (4) and
+// a CRC-32 (IEEE, 4) covering the sequence number, the length and the
+// payload. Every inter-node message under an active loss plan is
+// charged this overhead on top of its payload.
 //
-// The simulator charges the protocol analytically — header and ack
-// bytes, retransmission rounds and resequencing holds are added to the
-// virtual clock and the simnet ledgers without materializing a byte
-// buffer per message (the hot path must stay allocation-free). These
-// types are the concrete protocol the charges stand in for; the frame
-// property tests pin down the guarantee the model assumes: a CRC-32
-// frame check detects every single-bit corruption of any encoded
-// payload, and duplicate or reordered delivery never changes the
-// reassembled stream.
-
-// FrameHeaderBytes is the wire size of a reliable-transport frame
-// header: sequence number (8 bytes), payload length (4), CRC-32 (4).
-// Every inter-node message under an active loss plan is charged this
-// overhead on top of its payload.
+// The transport model assumes the CRC detects every corruption it
+// draws: a corrupted frame is discarded exactly like a dropped one and
+// retransmitted after the sender's timeout, never delivered. (CRC-32
+// detects every single-bit flip and every burst of up to 32 bits;
+// receivers resequence duplicated or reordered frames by sequence
+// number, so delivery stays exactly-once and in order.)
 const FrameHeaderBytes = 16
 
-// AckFrameBytes is the wire size of a cumulative acknowledgement: a
-// header-only frame whose sequence field carries the highest in-order
-// sequence delivered.
+// AckFrameBytes is the modelled wire size of a cumulative
+// acknowledgement: a header-only frame whose sequence field carries the
+// highest in-order sequence delivered.
 const AckFrameBytes = FrameHeaderBytes
-
-// AppendFrame appends the frame encoding of payload under sequence
-// number seq to dst and returns the extended slice. The CRC-32 (IEEE)
-// covers the sequence number, the length and the payload, so a bit flip
-// anywhere in the frame — header fields included — fails verification.
-func AppendFrame(dst []byte, seq uint64, payload []byte) []byte {
-	var hdr [FrameHeaderBytes - 4]byte
-	binary.LittleEndian.PutUint64(hdr[0:], seq)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	dst = append(dst, hdr[:]...)
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc)
-	dst = append(dst, cb[:]...)
-	return append(dst, payload...)
-}
-
-// DecodeFrame parses one frame, verifying its length and CRC. The
-// returned payload aliases data. Corrupted, truncated or trailing-byte
-// frames return an error — the modelled transport treats a CRC failure
-// exactly like a drop (the receiver discards the frame and the sender
-// retransmits after its timeout).
-func DecodeFrame(data []byte) (seq uint64, payload []byte, err error) {
-	if len(data) < FrameHeaderBytes {
-		return 0, nil, fmt.Errorf("wire: frame truncated at %d bytes", len(data))
-	}
-	seq = binary.LittleEndian.Uint64(data[0:])
-	n := binary.LittleEndian.Uint32(data[8:])
-	crc := binary.LittleEndian.Uint32(data[12:])
-	payload = data[FrameHeaderBytes:]
-	if uint64(len(payload)) != uint64(n) {
-		return 0, nil, fmt.Errorf("wire: frame length %d for %d payload bytes", n, len(payload))
-	}
-	got := crc32.ChecksumIEEE(data[:12])
-	got = crc32.Update(got, crc32.IEEETable, payload)
-	if got != crc {
-		return 0, nil, fmt.Errorf("wire: frame CRC mismatch (corrupted payload)")
-	}
-	return seq, payload, nil
-}
-
-// Resequencer reassembles one link's in-order message stream from frame
-// deliveries that may repeat or arrive out of order. Sequence numbers
-// start at 0 and increase by 1 per message; a duplicate (any sequence
-// below the cursor, or already held) is discarded, an out-of-order
-// arrival is held until its predecessors close the gap. CumulativeAck
-// reports the highest in-order sequence delivered so far — the value an
-// ack frame would carry.
-type Resequencer struct {
-	next uint64
-	held map[uint64][]byte
-	dups int
-}
-
-// Offer accepts one delivered frame and appends any payloads that became
-// deliverable in order — possibly none (gap), possibly several (a gap
-// just closed) — to out, returning the extended slice. The returned
-// payloads alias what was offered. Duplicates are discarded and counted.
-func (q *Resequencer) Offer(seq uint64, payload []byte, out [][]byte) [][]byte {
-	if seq < q.next {
-		q.dups++
-		return out
-	}
-	if seq > q.next {
-		if q.held == nil {
-			q.held = make(map[uint64][]byte)
-		}
-		if _, ok := q.held[seq]; ok {
-			q.dups++
-			return out
-		}
-		q.held[seq] = payload
-		return out
-	}
-	out = append(out, payload)
-	q.next++
-	for {
-		p, ok := q.held[q.next]
-		if !ok {
-			return out
-		}
-		delete(q.held, q.next)
-		out = append(out, p)
-		q.next++
-	}
-}
-
-// Dups returns the number of duplicate deliveries discarded.
-func (q *Resequencer) Dups() int { return q.dups }
-
-// CumulativeAck returns the highest sequence number delivered in order
-// (the cumulative-ack value), or false if nothing has been delivered.
-func (q *Resequencer) CumulativeAck() (uint64, bool) {
-	if q.next == 0 {
-		return 0, false
-	}
-	return q.next - 1, true
-}
-
-// Pending returns the number of out-of-order frames held for
-// resequencing.
-func (q *Resequencer) Pending() int { return len(q.held) }
