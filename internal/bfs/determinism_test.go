@@ -1,12 +1,15 @@
 package bfs
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"runtime"
 	"testing"
 
 	"numabfs/internal/machine"
 	"numabfs/internal/obs"
 	"numabfs/internal/rmat"
+	"numabfs/internal/trace"
 )
 
 // TestDeterministicAcrossHostParallelism: virtual time must not depend
@@ -87,5 +90,51 @@ func TestDeterministicWithTracing(t *testing.T) {
 	if res.TimeNs != t1 || res.Breakdown.Total() != b1 {
 		t.Fatalf("tracing changed results: untraced (%g, %g) vs traced (%g, %g)",
 			res.TimeNs, res.Breakdown.Total(), t1, b1)
+	}
+}
+
+// TestDeterministicAtPaperShape repeats the host-parallelism guarantee
+// at the paper's headline shape — 16 nodes × 8 sockets, one rank per
+// socket, the parallelized allgather — where 128 rank goroutines race
+// through the rendezvous path. The parent trees must match too, not
+// only the clocks. Scale 13 is the smallest graph that gives 128 ranks
+// the 64 vertices each the engine requires.
+func TestDeterministicAtPaperShape(t *testing.T) {
+	const scale = 13
+	params := rmat.Graph500(scale)
+	opts := DefaultOptions()
+	opts.Opt = OptParAllgather
+	type outcome struct {
+		timeNs  float64
+		bd      trace.Breakdown
+		parents uint64
+	}
+	run := func() outcome {
+		r, err := NewRunner(testConfig(scale, 16, 8), machine.PPN8Bind, params, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Setup()
+		root := params.Roots(1, r.HasEdgeGlobal)[0]
+		res := r.RunRoot(root)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, pa := range r.ParentArrays() {
+			for _, v := range pa {
+				binary.LittleEndian.PutUint64(b[:], uint64(v))
+				h.Write(b[:])
+			}
+		}
+		return outcome{res.TimeNs, res.Breakdown, h.Sum64()}
+	}
+
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	want := run()
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := run(); got != want {
+			t.Fatalf("host parallelism leaked into results: GOMAXPROCS=1 -> %+v; GOMAXPROCS=%d -> %+v", want, procs, got)
+		}
 	}
 }

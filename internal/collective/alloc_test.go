@@ -54,3 +54,35 @@ func TestTransportAllocParityOnCollectives(t *testing.T) {
 		t.Errorf("loss plan changed allocations: %g vs %g per run (protocol must charge analytically)", got, base)
 	}
 }
+
+// TestRawAlltoallvEmptyVectorsDoNotAllocPerMessage pins that the raw
+// alltoallv sends an empty vector as a nil payload: boxing a slice with
+// a non-nil backing array into the message's interface allocates, once
+// per message. The vectors are empty but non-nil, as a reused send
+// buffer truncated to [:0] is.
+func TestRawAlltoallvEmptyVectorsDoNotAllocPerMessage(t *testing.T) {
+	const rounds = 50
+	w := testWorld(t, 2, 4)
+	g := WorldGroup(w)
+	n := g.Size()
+	sends := make([][][]int64, n)
+	for r := range sends {
+		sends[r] = make([][]int64, n)
+		for j := range sends[r] {
+			sends[r][j] = make([]int64, 0, 4)
+		}
+	}
+	msgs := rounds * n * (n - 1)
+	allocs := testing.AllocsPerRun(1, func() {
+		w.Run(func(p *mpi.Proc) {
+			for i := 0; i < rounds; i++ {
+				g.AlltoallvInt64(p, sends[p.Rank()])
+			}
+		})
+	})
+	// Each call allocates its n-entry result slice once per rank, plus a
+	// fixed per-run overhead; one allocation per message would be msgs.
+	if allocs > float64(msgs)/2 {
+		t.Fatalf("%d empty-vector messages allocated %g objects; want well under one per message", msgs, allocs)
+	}
+}

@@ -50,8 +50,14 @@ func (g *Group) alltoallv(p *mpi.Proc, send [][]int64, out [][]int64, c *wire.Co
 		// contends with its own outbound and inbound streams (2), not
 		// with every co-located rank's empty synchronization message.
 		if c == nil {
-			payload := send[dst]
-			m := p.SendRecv(g.ranks[dst], tagAlltoall+s, int64(len(payload))*8, payload,
+			// An empty vector travels as a nil payload: boxing a slice
+			// with a non-nil backing array into the interface allocates,
+			// and most steps of a sparse exchange carry nothing.
+			var payload any
+			if v := send[dst]; len(v) > 0 {
+				payload = v
+			}
+			m := p.SendRecv(g.ranks[dst], tagAlltoall+s, int64(len(send[dst]))*8, payload,
 				g.ranks[src], tagAlltoall+s, 2)
 			out[src], _ = m.Payload.([]int64)
 			continue

@@ -166,7 +166,7 @@ func TestWorldReusableAfterAbort(t *testing.T) {
 	if err == nil {
 		t.Fatal("first attempt should fail")
 	}
-	// The next attempt reuses the same world: the abort channel is
+	// The next attempt reuses the same world: the abort channels are
 	// re-armed, the poisoned barriers are rebuilt and the orphaned
 	// message is drained, so fresh sends and barriers work.
 	w.PrepareRecovery()
@@ -184,6 +184,46 @@ func TestWorldReusableAfterAbort(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("retry after abort: %v", err)
+	}
+}
+
+// TestAbortAtPaperShapeRearmsEveryRank runs the paper's 16 × 8 world
+// through a pairwise SendRecv exchange in which one rank panics
+// mid-loop. TryRun must return that panic; a retry on the same world
+// must then reproduce a fresh world's clocks exactly, which it cannot
+// if any rank's abort signal was left fired.
+func TestAbortAtPaperShapeRearmsEveryRank(t *testing.T) {
+	const failRank, failStep = 77, 40
+	exchange := func(fail bool) func(p *Proc) {
+		return func(p *Proc) {
+			np, r := p.World().NumProcs(), p.Rank()
+			for s := 1; s < np; s++ {
+				if fail && r == failRank && s == failStep {
+					panic("boom")
+				}
+				p.Compute(float64(r%5+1) * 100)
+				p.SendRecv((r+s)%np, s, int64(8*s), nil, (r-s+np)%np, s, 1)
+			}
+		}
+	}
+	w := shapedWorld(16, 8)
+	if np := w.NumProcs(); np != 128 {
+		t.Fatalf("NumProcs = %d, want 128", np)
+	}
+	err := w.TryRun(exchange(true))
+	if err == nil || !strings.Contains(err.Error(), "rank 77 panicked: boom") {
+		t.Fatalf("TryRun = %v, want rank 77 panic", err)
+	}
+	w.PrepareRecovery()
+	if err := w.TryRun(exchange(false)); err != nil {
+		t.Fatalf("retry after abort: %v", err)
+	}
+	fresh := shapedWorld(16, 8)
+	fresh.Run(exchange(false))
+	for r := 0; r < w.NumProcs(); r++ {
+		if got, want := w.Proc(r).Clock(), fresh.Proc(r).Clock(); got != want {
+			t.Fatalf("rank %d retry clock = %g, fresh world %g", r, got, want)
+		}
 	}
 }
 

@@ -10,9 +10,14 @@ import (
 // testWorld builds a small world: nodes x 4-socket nodes, bound placement.
 func testWorld(t *testing.T, nodes int) *World {
 	t.Helper()
+	return shapedWorld(nodes, 4)
+}
+
+// shapedWorld builds a world of nodes × sockets ranks, one per socket.
+func shapedWorld(nodes, sockets int) *World {
 	cfg := machine.TableI()
 	cfg.Nodes = nodes
-	cfg.SocketsPerNode = 4
+	cfg.SocketsPerNode = sockets
 	cfg.WeakNode = -1
 	pl := machine.PlacementFor(cfg, machine.PPN8Bind)
 	return NewWorld(cfg, pl)

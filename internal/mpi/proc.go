@@ -42,6 +42,14 @@ type Proc struct {
 	xportNs   float64 // reliable-transport share of commNs (retransmit waits, holds, acks)
 	sentBytes int64   // cumulative bytes sent by this rank
 
+	// abort is closed when any rank of the job panics, releasing this
+	// rank from a blocked rendezvous (MPI job-abort semantics: one
+	// failing rank brings the whole job down instead of deadlocking its
+	// partners). Each rank has its own: a select locks every case's
+	// channel, so one channel shared by all ranks would be one lock
+	// that every rendezvous in the job contends on.
+	abort chan struct{}
+
 	// obs is the rank's observability stream; nil (the disabled
 	// recorder) unless World.AttachObs was called.
 	obs *obs.Rank
@@ -201,11 +209,24 @@ func (p *Proc) Send(dst, tag int, bytes int64, payload any, streams int) {
 	p.countMsg(dst, bytes, bytes)
 }
 
+// The rendezvous primitives below first try the one channel they need
+// without blocking: a select with a default is a single-channel
+// operation that finds an empty or full channel without taking a lock,
+// and never locks the abort channel. Only when the partner is not ready
+// do they block on the channel and the rank's abort signal together.
+// When both are ready either may win, as with a single select.
+
 // post delivers a message to dst's mailbox, failing if the job aborts.
 func (p *Proc) post(dst int, m message) {
+	mb := p.w.mail[dst][p.rank]
 	select {
-	case p.w.mail[dst][p.rank] <- m:
-	case <-p.w.abort:
+	case mb <- m:
+		return
+	default:
+	}
+	select {
+	case mb <- m:
+	case <-p.abort:
 		panic(errAborted{})
 	}
 }
@@ -215,17 +236,28 @@ func (p *Proc) await(ack chan float64) float64 {
 	select {
 	case end := <-ack:
 		return end
-	case <-p.w.abort:
+	default:
+	}
+	select {
+	case end := <-ack:
+		return end
+	case <-p.abort:
 		panic(errAborted{})
 	}
 }
 
 // take receives the next message from src, failing on abort.
 func (p *Proc) take(src int) message {
+	mb := p.w.mail[p.rank][src]
 	select {
-	case m := <-p.w.mail[p.rank][src]:
+	case m := <-mb:
 		return m
-	case <-p.w.abort:
+	default:
+	}
+	select {
+	case m := <-mb:
+		return m
+	case <-p.abort:
 		panic(errAborted{})
 	}
 }

@@ -58,10 +58,8 @@ type World struct {
 	maxLivePPN int
 	epoch      int
 
-	// abort is closed when any rank panics, releasing ranks blocked in
-	// communication (MPI job-abort semantics: one failing rank brings
-	// the whole job down instead of deadlocking its partners).
-	abort     chan struct{}
+	// abortOnce makes doAbort close every rank's abort channel
+	// (Proc.abort) exactly once per attempt.
 	abortOnce sync.Once
 
 	shmMu      sync.Mutex
@@ -79,7 +77,9 @@ func (errAborted) Error() string { return "mpi: job aborted by another rank's fa
 // doAbort releases every blocked rank.
 func (w *World) doAbort() {
 	w.abortOnce.Do(func() {
-		close(w.abort)
+		for _, p := range w.procs {
+			close(p.abort)
+		}
 		w.globalBarrier.abortAll()
 		for _, b := range w.nodeBarriers {
 			b.abortAll()
@@ -99,7 +99,6 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 		cfg:        cfg,
 		pl:         pl,
 		net:        simnet.New(cfg),
-		abort:      make(chan struct{}),
 		shmRegions: make(map[string][]uint64),
 	}
 	w.inj = w.net.Injector()
@@ -126,6 +125,7 @@ func NewWorld(cfg machine.Config, pl machine.Placement) *World {
 			rank:  r,
 			node:  r / pl.ProcsPerNode,
 			local: r % pl.ProcsPerNode,
+			abort: make(chan struct{}),
 		}
 	}
 	return w
@@ -183,7 +183,7 @@ func (w *World) Run(body func(p *Proc)) {
 // rank), never whichever goroutine the host scheduler unblocked first —
 // while a programming bug keeps its descriptive wrapped panic and takes
 // precedence over any concurrent fault. After a failed attempt the world
-// is re-armed (abort channel, barriers, mailboxes), so a recovery
+// is re-armed (abort channels, barriers, mailboxes), so a recovery
 // attempt can reuse it.
 func (w *World) TryRun(body func(p *Proc)) error {
 	w.resetAbort()
@@ -233,17 +233,20 @@ func (w *World) TryRun(body func(p *Proc)) error {
 	return nil
 }
 
-// resetAbort re-arms the abort machinery after a failed attempt: a fresh
-// abort channel, fresh barriers (an aborted barrier generation is
-// poisoned), and drained mailboxes (a crashed rank may have left a
-// posted message no one will ever take). A no-op unless an abort fired.
+// resetAbort re-arms the abort machinery after a failed attempt: fresh
+// per-rank abort channels, fresh barriers (an aborted barrier generation
+// is poisoned), and drained mailboxes (a crashed rank may have left a
+// posted message no one will ever take). A no-op unless an abort fired;
+// doAbort closes every rank's channel, so rank 0's tells.
 func (w *World) resetAbort() {
 	select {
-	case <-w.abort:
+	case <-w.procs[0].abort:
 	default:
 		return
 	}
-	w.abort = make(chan struct{})
+	for _, p := range w.procs {
+		p.abort = make(chan struct{})
+	}
 	w.abortOnce = sync.Once{}
 	w.rebuildMembership()
 	for d := range w.mail {
