@@ -106,6 +106,39 @@ func BenchmarkBFSRoot(b *testing.B) {
 	}
 }
 
+// BenchmarkSetup1D measures a cold kernel-1 build (R-MAT generation,
+// routing, alltoallv and CSR construction) on the paper's cluster:
+// 16 nodes x 8 sockets, 128 ranks, scale 16.
+func BenchmarkSetup1D(b *testing.B) {
+	const scale = 16
+	cfg := numabfs.ScaledCluster(scale, scale+12).WithNodes(16)
+	cfg.WeakNode = -1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := numabfs.NewRunner(cfg, numabfs.PPN8Bind, numabfs.Graph500Params(scale), numabfs.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Setup()
+	}
+}
+
+// BenchmarkSetup2D measures a cold 2-D kernel-1 build on a 4x4 grid over
+// 2 nodes at scale 18.
+func BenchmarkSetup2D(b *testing.B) {
+	const scale = 18
+	cfg := numabfs.ScaledCluster(scale, scale+12).WithNodes(2)
+	cfg.WeakNode = -1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := numabfs.NewRunner2D(cfg, numabfs.PPN8Bind, numabfs.DefaultGrid(2*cfg.SocketsPerNode), numabfs.Graph500Params(scale))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Setup()
+	}
+}
+
 // BenchmarkRMATGeneration measures edge generation throughput.
 func BenchmarkRMATGeneration(b *testing.B) {
 	p := rmat.Graph500(20)

@@ -70,25 +70,36 @@ func main() {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	defer bw.Flush()
 
+	var write func(u, v int64) error
 	switch *format {
 	case "text":
-		for i := lo; i < hi; i++ {
-			u, v := params.EdgeAt(i)
-			fmt.Fprintf(bw, "%d %d\n", u, v)
+		write = func(u, v int64) error {
+			_, err := fmt.Fprintf(bw, "%d %d\n", u, v)
+			return err
 		}
 	case "bin":
 		var buf [16]byte
-		for i := lo; i < hi; i++ {
-			u, v := params.EdgeAt(i)
+		write = func(u, v int64) error {
 			binary.LittleEndian.PutUint64(buf[0:], uint64(u))
 			binary.LittleEndian.PutUint64(buf[8:], uint64(v))
-			if _, err := bw.Write(buf[:]); err != nil {
-				fmt.Fprintf(os.Stderr, "rmatgen: write: %v\n", err)
-				os.Exit(1)
-			}
+			_, err := bw.Write(buf[:])
+			return err
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "rmatgen: unknown format %q\n", *format)
 		os.Exit(2)
+	}
+	// Generate in batches through Edges, which derives the generator's
+	// constants once per batch rather than once per edge.
+	const batch = 1 << 16
+	edges := make([]int64, 0, 2*batch)
+	for i := lo; i < hi; i += batch {
+		edges = params.Edges(edges[:0], i, min(i+batch, hi))
+		for k := 0; k < len(edges); k += 2 {
+			if err := write(edges[k], edges[k+1]); err != nil {
+				fmt.Fprintf(os.Stderr, "rmatgen: write: %v\n", err)
+				os.Exit(1)
+			}
+		}
 	}
 }

@@ -2,11 +2,10 @@ package bfs2d
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"numabfs/internal/bitmap"
 	"numabfs/internal/collective"
+	"numabfs/internal/graph"
 	"numabfs/internal/mpi"
 	"numabfs/internal/omp"
 	"numabfs/internal/wire"
@@ -37,83 +36,24 @@ func (r *Runner) Setup() {
 		r.rowLayout = collective.EvenLayout(rowWords, r.Grid.C)
 	}
 	// Generation and routing are indexed by grid cell, not world rank:
-	// with spares parked only the grid ranks run, and at zero spares
-	// cell == rank so the historical slicing is reproduced exactly.
+	// r.grid lists the cells in order, so with spares parked only the
+	// grid ranks run, and at zero spares cell == rank.
+	colVerts := int64(r.Grid.R) * r.blockSize
+	route := func(u, v int64) int {
+		return int(u/colVerts)*r.Grid.R + int(v/r.blockSize)%r.Grid.R
+	}
 	r.W.Run(func(p *mpi.Proc) {
-		cfg := r.cfg
-		cells := r.Grid.R * r.Grid.C
 		me := p.Rank()
-		cell := int64(r.rankCell[me])
-		ne := r.Params.NumEdges()
-		lo := ne * cell / int64(cells)
-		hi := ne * (cell + 1) / int64(cells)
-
-		send := make([][]int64, cells)
-		route := func(u, v int64) {
-			j := int(u / (int64(r.Grid.R) * r.blockSize))
-			i := int(v/r.blockSize) % r.Grid.R
-			send[j*r.Grid.R+i] = append(send[j*r.Grid.R+i], u, v)
-		}
-		for e := lo; e < hi; e++ {
-			u, v := r.Params.EdgeAt(e)
-			if u == v {
-				continue
-			}
-			route(u, v)
-			route(v, u)
-		}
-		p.Compute(float64(hi-lo) * float64(r.Params.Scale) * 6 * cfg.CPUOpNs)
-
-		recv := r.grid.AlltoallvInt64(p, send)
-
 		i, j := r.gridOf(me)
 		cLo, cHi := r.colRange(j)
+		csr := graph.BuildRouted(p, r.grid, r.Params, cLo, cHi, route, true)
 		width := cHi - cLo
 		rs := &rankState{
 			r: r, i: i, j: j,
-			team:   omp.TeamFor(cfg, r.pl),
-			rowPtr: make([]int64, width+1),
+			team:   omp.TeamFor(r.cfg, r.pl),
+			rowPtr: csr.RowPtr,
+			col:    csr.Col,
 		}
-		// Counting pass, fill, per-row sort + dedup.
-		var pairs []int64
-		for _, vec := range recv {
-			pairs = append(pairs, vec...)
-		}
-		for k := 0; k+1 < len(pairs); k += 2 {
-			rs.rowPtr[pairs[k]-cLo+1]++
-		}
-		for w := int64(0); w < width; w++ {
-			rs.rowPtr[w+1] += rs.rowPtr[w]
-		}
-		rs.col = make([]int64, rs.rowPtr[width])
-		fill := make([]int64, width)
-		for k := 0; k+1 < len(pairs); k += 2 {
-			u := pairs[k] - cLo
-			rs.col[rs.rowPtr[u]+fill[u]] = pairs[k+1]
-			fill[u]++
-		}
-		kept := int64(0)
-		newPtr := make([]int64, width+1)
-		for u := int64(0); u < width; u++ {
-			row := rs.col[rs.rowPtr[u]:rs.rowPtr[u+1]]
-			sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-			var prev int64 = -1
-			for _, v := range row {
-				if v != prev {
-					rs.col[kept] = v
-					kept++
-					prev = v
-				}
-			}
-			newPtr[u+1] = kept
-		}
-		rs.col = rs.col[:kept]
-		rs.rowPtr = newPtr
-
-		m := float64(len(pairs) / 2)
-		logd := math.Log2(1 + m/math.Max(1, float64(width)))
-		p.Compute(m*16/cfg.MemBWPerSocket + m*logd*4*cfg.CPUOpNs)
-
 		rs.parent = make([]int64, r.blockSize)
 		if r.Compress {
 			rs.codec = &wire.Codec{Team: rs.team, Loc: r.pl.PrivateLoc}

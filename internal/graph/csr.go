@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CSR is the local adjacency structure of one rank: the out-neighbour
@@ -43,49 +43,53 @@ func (c *CSR) BytesApprox() int64 {
 	return int64(len(c.RowPtr))*8 + int64(len(c.Col))*8
 }
 
-// BuildCSR builds the CSR for owned range [lo, hi) from directed
-// adjacency pairs: pairs[2k] is a source in [lo, hi), pairs[2k+1] its
-// neighbour (global). Self-loops are dropped; duplicate adjacencies are
-// kept or deduplicated according to dedup (Graph500 permits multigraphs;
-// the reference BFS implementations deduplicate during construction).
-func BuildCSR(lo, hi int64, pairs []int64, dedup bool) *CSR {
-	if len(pairs)%2 != 0 {
-		panic("graph: odd pair slice")
-	}
+// BuildCSR builds the CSR for owned range [lo, hi) from vectors of
+// directed adjacency pairs, such as the ones kernel 1's alltoallv
+// delivers: in each vector, pairs[2k] is a source in [lo, hi) and
+// pairs[2k+1] its neighbour (global). Self-loops are dropped; duplicate
+// adjacencies are kept or deduplicated according to dedup (Graph500
+// permits multigraphs; the reference BFS implementations deduplicate
+// during construction). The vectors are only read.
+func BuildCSR(lo, hi int64, vecs [][]int64, dedup bool) *CSR {
 	n := hi - lo
 	c := &CSR{Lo: lo, Hi: hi, RowPtr: make([]int64, n+1)}
 	// Counting pass.
-	for k := 0; k < len(pairs); k += 2 {
-		u, v := pairs[k], pairs[k+1]
-		if u < lo || u >= hi {
-			panic(fmt.Sprintf("graph: source %d outside [%d, %d)", u, lo, hi))
+	for _, pairs := range vecs {
+		if len(pairs)%2 != 0 {
+			panic("graph: odd pair slice")
 		}
-		if u == v {
-			continue
+		for k := 0; k < len(pairs); k += 2 {
+			u, v := pairs[k], pairs[k+1]
+			if u < lo || u >= hi {
+				panic(fmt.Sprintf("graph: source %d outside [%d, %d)", u, lo, hi))
+			}
+			if u == v {
+				continue
+			}
+			c.RowPtr[u-lo+1]++
 		}
-		c.RowPtr[u-lo+1]++
 	}
 	for i := int64(0); i < n; i++ {
 		c.RowPtr[i+1] += c.RowPtr[i]
 	}
 	c.Col = make([]int64, c.RowPtr[n])
-	fill := make([]int64, n)
-	for k := 0; k < len(pairs); k += 2 {
-		u, v := pairs[k], pairs[k+1]
-		if u == v {
-			continue
+	next := slices.Clone(c.RowPtr[:n])
+	for _, pairs := range vecs {
+		for k := 0; k < len(pairs); k += 2 {
+			u, v := pairs[k], pairs[k+1]
+			if u == v {
+				continue
+			}
+			c.Col[next[u-lo]] = v
+			next[u-lo]++
 		}
-		i := u - lo
-		c.Col[c.RowPtr[i]+fill[i]] = v
-		fill[i]++
 	}
-	// Sort each row; optionally deduplicate in place.
+	// Rows need no stable sort: equal ids are indistinguishable.
 	for i := int64(0); i < n; i++ {
-		row := c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		slices.Sort(c.Col[c.RowPtr[i]:c.RowPtr[i+1]])
 	}
 	if dedup {
-		c = c.dedup()
+		c.dedup()
 	}
 	return c
 }
@@ -110,23 +114,26 @@ func MergeCSR(a, b *CSR) *CSR {
 	return out
 }
 
-// dedup removes duplicate adjacencies from sorted rows, rebuilding the
-// CSR compactly.
-func (c *CSR) dedup() *CSR {
+// dedup removes duplicate adjacencies from sorted rows, compacting Col
+// in place and then copying it into an exact-size array, so the
+// duplicates' share of the original array is not kept alive.
+func (c *CSR) dedup() {
 	n := c.Hi - c.Lo
-	out := &CSR{Lo: c.Lo, Hi: c.Hi, RowPtr: make([]int64, n+1)}
-	col := make([]int64, 0, len(c.Col))
+	var kept, start int64
 	for i := int64(0); i < n; i++ {
-		row := c.Col[c.RowPtr[i]:c.RowPtr[i+1]]
+		end := c.RowPtr[i+1]
 		var prev int64 = -1
-		for _, v := range row {
+		for _, v := range c.Col[start:end] {
 			if v != prev {
-				col = append(col, v)
+				c.Col[kept] = v
+				kept++
 				prev = v
 			}
 		}
-		out.RowPtr[i+1] = int64(len(col))
+		c.RowPtr[i+1] = kept
+		start = end
 	}
-	out.Col = col
-	return out
+	col := make([]int64, kept)
+	copy(col, c.Col)
+	c.Col = col
 }

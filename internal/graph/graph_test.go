@@ -78,7 +78,7 @@ func TestBuildCSRSortsAndDrops(t *testing.T) {
 		1, 1, // self loop: dropped
 		2, 0,
 	}
-	c := BuildCSR(0, 4, pairs, true)
+	c := BuildCSR(0, 4, [][]int64{pairs}, true)
 	if got := c.Neighbors(0); len(got) != 2 || got[0] != 3 || got[1] != 5 {
 		t.Fatalf("Neighbors(0) = %v", got)
 	}
@@ -92,7 +92,7 @@ func TestBuildCSRSortsAndDrops(t *testing.T) {
 		t.Fatal("vertex 3 should have no edges")
 	}
 	// Without dedup, the duplicate stays.
-	c2 := BuildCSR(0, 4, pairs, false)
+	c2 := BuildCSR(0, 4, [][]int64{pairs}, false)
 	if c2.Degree(0) != 3 {
 		t.Fatalf("no-dedup Degree(0) = %d, want 3", c2.Degree(0))
 	}
@@ -104,7 +104,7 @@ func TestBuildCSRPanicsOnForeignSource(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	BuildCSR(0, 4, []int64{7, 1}, true)
+	BuildCSR(0, 4, [][]int64{{7, 1}}, true)
 }
 
 func TestBuildGlobalUndirected(t *testing.T) {
@@ -130,7 +130,7 @@ func TestBuildGlobalUndirected(t *testing.T) {
 func TestReferenceBFSSmall(t *testing.T) {
 	// Path 0-1-2-3 plus isolated 4.
 	pairs := []int64{0, 1, 1, 0, 1, 2, 2, 1, 2, 3, 3, 2}
-	c := BuildCSR(0, 5, pairs, true)
+	c := BuildCSR(0, 5, [][]int64{pairs}, true)
 	level, parent := ReferenceBFS(c, 0)
 	wantLevel := []int64{0, 1, 2, 3, -1}
 	for v, w := range wantLevel {

@@ -4,19 +4,19 @@ import "numabfs/internal/rmat"
 
 // BuildGlobal materializes the whole graph as a single CSR — feasible at
 // the scales the examples and validator use, and the ground truth the
-// distributed construction must agree with.
+// distributed construction must agree with. It shares only the edge
+// generator and BuildCSR with kernel 1, not its routing.
 func BuildGlobal(p rmat.Params, dedup bool) *CSR {
-	n := p.NumVertices()
-	ne := p.NumEdges()
-	pairs := make([]int64, 0, 4*ne)
-	for i := int64(0); i < ne; i++ {
-		u, v := p.EdgeAt(i)
+	edges := p.Edges(nil, 0, p.NumEdges())
+	pairs := make([]int64, 0, 2*len(edges))
+	for k := 0; k < len(edges); k += 2 {
+		u, v := edges[k], edges[k+1]
 		if u == v {
 			continue
 		}
 		pairs = append(pairs, u, v, v, u)
 	}
-	return BuildCSR(0, n, pairs, dedup)
+	return BuildCSR(0, p.NumVertices(), [][]int64{pairs}, dedup)
 }
 
 // ReferenceBFS runs a sequential BFS over a global CSR and returns the

@@ -9,7 +9,7 @@ import (
 func TestDegreesSmall(t *testing.T) {
 	// Star: vertex 0 connected to 1, 2, 3; vertex 4 isolated.
 	pairs := []int64{0, 1, 1, 0, 0, 2, 2, 0, 0, 3, 3, 0}
-	c := BuildCSR(0, 5, pairs, true)
+	c := BuildCSR(0, 5, [][]int64{pairs}, true)
 	st := Degrees(c)
 	if st.Vertices != 5 || st.Edges != 6 {
 		t.Fatalf("stats: %+v", st)
@@ -45,7 +45,7 @@ func TestDegreeHistogram(t *testing.T) {
 		1, 0, // deg(1) = 1 -> bucket 0
 		2, 0, 2, 1, // deg(2) = 2 -> bucket 1
 	}
-	c := BuildCSR(0, 5, pairs, true)
+	c := BuildCSR(0, 5, [][]int64{pairs}, true)
 	h := DegreeHistogram(c)
 	if len(h) != 3 || h[0] != 1 || h[1] != 1 || h[2] != 1 {
 		t.Fatalf("histogram = %v", h)

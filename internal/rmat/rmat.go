@@ -12,6 +12,7 @@ package rmat
 
 import (
 	"fmt"
+	"slices"
 
 	"numabfs/internal/xrand"
 )
@@ -84,38 +85,22 @@ func (p Params) Validate() error {
 
 // EdgeAt returns the endpoints of edge i (0 <= i < NumEdges), after
 // vertex scrambling. Self-loops are possible, as in the reference
-// generator; graph construction drops them.
+// generator; graph construction drops them. To generate a range of
+// edges, Edges derives the per-Params constants once instead of per
+// edge.
 func (p Params) EdgeAt(i int64) (u, v int64) {
-	// A private stream per edge keeps generation order-independent.
-	rng := xrand.NewXoshiro256(mix(p.Seed, uint64(i)))
-	ab := p.A + p.B
-	acNorm := p.C / (p.C + p.D)
-	aNorm := p.A / ab
-	for bit := p.Scale - 1; bit >= 0; bit-- {
-		// Noise on the quadrant probabilities, as in the Graph500
-		// reference, prevents exact self-similarity artifacts.
-		f1 := 0.95 + 0.1*rng.Float64()
-		f2 := 0.95 + 0.1*rng.Float64()
-		r := rng.Float64()
-		if r > ab*f1/(ab*f1+(1-ab)) {
-			u |= 1 << uint(bit)
-			if rng.Float64() > acNorm*f2/(acNorm*f2+(1-acNorm)) {
-				v |= 1 << uint(bit)
-			}
-		} else if rng.Float64() > aNorm*f2/(aNorm*f2+(1-aNorm)) {
-			v |= 1 << uint(bit)
-		}
-	}
-	if p.Scramble {
-		return p.ScrambleVertex(u), p.ScrambleVertex(v)
-	}
-	return u, v
+	g := p.generator()
+	return g.edge(i)
 }
 
 // Edges appends edges [lo, hi) to dst (as endpoint pairs) and returns it.
 func (p Params) Edges(dst []int64, lo, hi int64) []int64 {
+	g := p.generator()
+	if hi > lo {
+		dst = slices.Grow(dst, int(2*(hi-lo)))
+	}
 	for i := lo; i < hi; i++ {
-		u, v := p.EdgeAt(i)
+		u, v := g.edge(i)
 		dst = append(dst, u, v)
 	}
 	return dst
@@ -124,16 +109,78 @@ func (p Params) Edges(dst []int64, lo, hi int64) []int64 {
 // ScrambleVertex applies a seeded bijection on [0, 2^Scale): two rounds
 // of multiply-by-odd and xorshift, both invertible modulo a power of two.
 func (p Params) ScrambleVertex(v int64) int64 {
-	mask := uint64(p.NumVertices() - 1)
-	x := uint64(v) & mask
-	k1 := (mix(p.Seed, 0xa5a5a5a5) | 1) // odd multiplier
-	k2 := (mix(p.Seed, 0x5a5a5a5a) | 1)
-	half := uint(p.Scale+1) / 2
-	x = (x * k1) & mask
-	x ^= (x >> half)
-	x = (x * k2) & mask
-	x ^= (x >> half)
-	return int64(x & mask)
+	g := p.generator()
+	return g.scrambleVertex(v)
+}
+
+// generator holds what edge generation derives from Params, computed
+// once per EdgeAt, Edges or ScrambleVertex call rather than per edge.
+type generator struct {
+	seed              uint64
+	scale             int
+	ab, acNorm, aNorm float64
+	scramble          bool
+	mask, k1, k2      uint64 // scrambler: vertex mask, odd multipliers
+	half              uint   // scrambler: xorshift distance
+}
+
+func (p Params) generator() generator {
+	ab := p.A + p.B
+	return generator{
+		seed:     p.Seed,
+		scale:    p.Scale,
+		ab:       ab,
+		acNorm:   p.C / (p.C + p.D),
+		aNorm:    p.A / ab,
+		scramble: p.Scramble,
+		mask:     uint64(p.NumVertices() - 1),
+		k1:       mix(p.Seed, 0xa5a5a5a5) | 1,
+		k2:       mix(p.Seed, 0x5a5a5a5a) | 1,
+		half:     uint(p.Scale+1) / 2,
+	}
+}
+
+// edge returns edge i. The PRNG is held by value and advanced with Next,
+// so its state stays in registers. The draw order is part of the graph's
+// identity: four draws per bit, and the fourth is consumed by whichever
+// branch the third selects.
+func (g *generator) edge(i int64) (u, v int64) {
+	// A private stream per edge keeps generation order-independent.
+	rng := xrand.SeedXoshiro256(mix(g.seed, uint64(i)))
+	ab, acNorm, aNorm := g.ab, g.acNorm, g.aNorm
+	for bit := g.scale - 1; bit >= 0; bit-- {
+		var d1, d2, d3, d4 uint64
+		rng, d1 = rng.Next()
+		rng, d2 = rng.Next()
+		rng, d3 = rng.Next()
+		rng, d4 = rng.Next()
+		// Noise on the quadrant probabilities, as in the Graph500
+		// reference, prevents exact self-similarity artifacts.
+		f1 := 0.95 + 0.1*xrand.Unit(d1)
+		f2 := 0.95 + 0.1*xrand.Unit(d2)
+		r := xrand.Unit(d3)
+		if r > ab*f1/(ab*f1+(1-ab)) {
+			u |= 1 << uint(bit)
+			if xrand.Unit(d4) > acNorm*f2/(acNorm*f2+(1-acNorm)) {
+				v |= 1 << uint(bit)
+			}
+		} else if xrand.Unit(d4) > aNorm*f2/(aNorm*f2+(1-aNorm)) {
+			v |= 1 << uint(bit)
+		}
+	}
+	if g.scramble {
+		return g.scrambleVertex(u), g.scrambleVertex(v)
+	}
+	return u, v
+}
+
+func (g *generator) scrambleVertex(v int64) int64 {
+	x := uint64(v) & g.mask
+	x = (x * g.k1) & g.mask
+	x ^= (x >> g.half)
+	x = (x * g.k2) & g.mask
+	x ^= (x >> g.half)
+	return int64(x & g.mask)
 }
 
 // mix combines a seed and an index into a well-distributed 64-bit value.

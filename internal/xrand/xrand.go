@@ -11,7 +11,10 @@
 //     generation, seeded from SplitMix64 per Vigna's recommendation.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea and Flood.
 // The zero value is a valid generator seeded with 0.
@@ -33,46 +36,67 @@ func (s *SplitMix64) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Xoshiro256 is the xoshiro256** generator of Blackman and Vigna.
+// Xoshiro256 is the xoshiro256** generator of Blackman and Vigna. The
+// state is four named words rather than a [4]uint64: the compiler keeps
+// an array-typed field in memory, while the named words of a generator
+// held by value can stay in registers (see Next). The zero value is not
+// a valid generator; use NewXoshiro256 or SeedXoshiro256.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // NewXoshiro256 returns a generator whose state is expanded from seed
 // with SplitMix64, as recommended by the xoshiro authors.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
-	sm := NewSplitMix64(seed)
-	var x Xoshiro256
-	for i := range x.s {
-		x.s[i] = sm.Uint64()
-	}
-	// An all-zero state would be a fixed point; SplitMix64 cannot produce
-	// four consecutive zeros, but guard anyway for safety.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
-	}
+	x := SeedXoshiro256(seed)
 	return &x
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// SeedXoshiro256 returns by value the generator NewXoshiro256 returns,
+// so a generator held in a local variable needs no allocation.
+func SeedXoshiro256(seed uint64) Xoshiro256 {
+	sm := SplitMix64{state: seed}
+	x := Xoshiro256{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
+	// An all-zero state would be a fixed point; SplitMix64 cannot produce
+	// four consecutive zeros, but guard anyway for safety.
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
+	}
+	return x
+}
 
-// Uint64 returns the next value in the stream.
+// Uint64 returns the next value in the stream. It is small enough to
+// inline.
 func (x *Xoshiro256) Uint64() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
-	return result
+	var r uint64
+	*x, r = x.Next()
+	return r
+}
+
+// Next is Uint64 for a generator held by value: it returns the advanced
+// generator and the draw. A loop that writes the generator back to its
+// own local variable (rng, d = rng.Next()) never takes its address, so
+// the four state words stay in registers.
+func (x Xoshiro256) Next() (Xoshiro256, uint64) {
+	result := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return x, result
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
-func (x *Xoshiro256) Float64() float64 {
-	return float64(x.Uint64()>>11) / (1 << 53)
-}
+func (x *Xoshiro256) Float64() float64 { return Unit(x.Uint64()) }
+
+// Unit maps a 64-bit draw to [0, 1) with 53 bits of precision, the
+// conversion Float64 applies. Loops that draw with Next convert with
+// Unit; Float64 itself is too large to inline once Uint64 is inlined
+// into it.
+func Unit(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // Lemire's multiply-shift rejection method avoids modulo bias.
